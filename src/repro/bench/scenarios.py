@@ -26,21 +26,21 @@ simulator:
 * ``trace_gen``        — synthesis of a ``swim`` trace plus its warm-up
   trace: the numpy workload-generation path.
 * ``sweep_batch``      — an 8-configuration sweep over one shared trace
-  through ``simulate_batch`` on the fast kernel: the cross-point
-  amortization path the runner takes.
+  through ``simulate_batch`` on the default kernel: the cross-point
+  amortization path.
 * ``sweep_indep``      — the same 8 configurations as 8 independent
   reference ``simulate`` calls, each rebuilding its trace: the naive
   sweep this repo used to run.  Its counters must equal
   ``sweep_batch``'s exactly, so the committed baseline doubles as a
   batch-vs-independent equivalence gate.
 
-The full-system scenarios run the ``repro.kernel`` fast path — the
-code sweeps actually execute — including its per-process trace,
-compiled-column, and warm-state memos (populated during the harness's
-untimed warm-up iteration, exactly as a sweep's first point warms
-them).  Their event counters are byte-identical to the reference
-kernel's, so the committed baseline also gates fast-vs-reference
-equivalence in CI.
+The full-system scenarios run the default path — the kernel
+``repro.kernel.select_kernel`` picks, so the fast kernel on DRDRAM and
+the reference kernel on backends it does not specialize — with traces
+from the runner worker's per-process memo (populated during the
+harness's untimed warm-up iteration).  Their event counters are
+byte-identical to the reference kernel's, so the committed baseline
+also gates fast-vs-reference equivalence in CI.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from repro.cache.cache import SetAssociativeCache
 from repro.core.config import CacheConfig, SystemConfig
 from repro.core.stats import CacheStats, SimStats
 from repro.core.system import simulate
-from repro.kernel import simulate_batch, simulate_fast
+from repro.kernel import simulate_batch
 from repro.runner.worker import get_traces
 
 __all__ = ["Scenario", "SCENARIOS"]
@@ -136,7 +136,7 @@ def _cache_hit_micro(accesses: int) -> Tuple[int, Counters]:
 
 def _run_system(benchmark: str, config: SystemConfig, refs: int) -> Tuple[int, Counters]:
     warm, main = get_traces(benchmark, refs, 0, config.l2.size_bytes)
-    stats = simulate_fast(main, config, warmup_trace=warm)
+    stats = simulate(main, config, warmup_trace=warm)
     return refs, _stats_counters(stats)
 
 
@@ -177,20 +177,16 @@ def _accumulate(totals: Counters, stats: SimStats) -> None:
 
 
 def _sweep_batch(refs: int) -> Tuple[int, Counters]:
-    """8-config sweep over one shared trace, batched on the fast kernel.
+    """8-config sweep over one shared trace, batched on the default kernel.
 
-    The traces come from the runner worker's memo and the compiled
-    columns are walked once per point; after the harness's untimed
-    warm-up iteration the per-config warm-state memo also replaces the
-    warm-up simulation with a state restore — exactly the steady state
-    of a real sweep, where every config family recurs across seeds.
-    Counters are the per-config sums, byte-identical to
-    ``sweep_indep``'s.
+    The traces come from the runner worker's memo, and one compilation
+    of each is shared by all eight points.  Counters are the per-config
+    sums, byte-identical to ``sweep_indep``'s.
     """
     configs = _sweep_configs()
     warm, main = get_traces("eon", refs, 0, configs[0].l2.size_bytes)
     totals: Counters = {}
-    for stats in simulate_batch(main, configs, warmup_trace=warm, fast=True):
+    for stats in simulate_batch(main, configs, warmup_trace=warm):
         _accumulate(totals, stats)
     return refs * len(configs), totals
 
@@ -200,9 +196,9 @@ def _sweep_indep(refs: int) -> Tuple[int, Counters]:
 
     Each point rebuilds its warm-up and main traces and runs the
     reference kernel end to end — the pre-batching sweep cost model.
-    ``fast=False`` pins the reference path even when ``REPRO_FAST`` is
-    set, so the batch/independent ratio in one bench file is always
-    fast-batched vs reference-naive.
+    ``fast=False`` pins the reference path, so the batch/independent
+    ratio in one bench file is always default-batched vs
+    reference-naive.
     """
     from repro.workloads import build_trace
     from repro.workloads.registry import build_warmup_trace
@@ -266,7 +262,7 @@ SCENARIOS: Dict[str, Scenario] = {
         ),
         Scenario(
             name="sweep_batch",
-            description="8-config sweep, one shared trace, batched fast kernel",
+            description="8-config sweep, one shared trace, batched default kernel",
             run=_sweep_batch,
             full_refs=12_000,
             quick_refs=3_000,

@@ -18,6 +18,7 @@ from repro.cpu.core import OutOfOrderCore
 from repro.cpu.trace import Trace
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from repro.kernel.compiled import CompiledTrace
     from repro.obs.observer import Observer
     from repro.sanitize.sanitizer import Sanitizer
 
@@ -63,12 +64,16 @@ class System:
         self.core = OutOfOrderCore(config, self.hierarchy, self.stats, obs=obs, san=san)
         self._clock = 0.0
 
-    def run(self, trace: Trace, columns=None) -> SimStats:
+    def run(
+        self, trace: Trace, compiled: "Optional[CompiledTrace]" = None
+    ) -> SimStats:
         """Execute ``trace`` on this system; returns accumulated stats.
 
-        ``columns`` optionally passes the precompiled trace columns
-        (``CompiledTrace.base_columns()``) through to the core loop.
+        ``compiled`` optionally passes the trace's
+        :class:`~repro.kernel.compiled.CompiledTrace`, whose list columns
+        the core loop then walks instead of converting the trace itself.
         """
+        columns = compiled.base_columns() if compiled is not None else None
         self._clock = self.core.run(trace, start_time=self._clock, columns=columns)
         if self.san is not None:
             # End-of-run structural sweep: tag/recency mirrors,
@@ -76,7 +81,9 @@ class System:
             self.san.quiesce(self._clock)
         return self.stats
 
-    def warmup(self, trace: Trace, columns=None) -> None:
+    def warmup(
+        self, trace: Trace, compiled: "Optional[CompiledTrace]" = None
+    ) -> None:
         """Run ``trace`` to warm caches and DRAM state, then zero the
         statistics; the simulated clock keeps advancing so utilization
         accounting stays consistent.  Observability is muted for the
@@ -85,7 +92,7 @@ class System:
         if self.obs is not None:
             self.obs.mute()
         try:
-            self.run(trace, columns=columns)
+            self.run(trace, compiled)
         finally:
             if self.obs is not None:
                 self.obs.unmute()
@@ -109,28 +116,18 @@ def simulate(
     the statistics; ``sanitize`` runs the same simulation under the
     runtime invariant checker.
 
-    ``fast`` selects the specialized kernel in :mod:`repro.kernel`
-    (``None`` reads the ``REPRO_FAST`` environment opt-in).  The fast
-    kernel produces byte-identical statistics; the reference kernel
-    remains authoritative and is always used when observability or
-    sanitizing is requested, or for geometries the fast kernel does
-    not specialize.
+    ``fast`` chooses between the specialized kernel in
+    :mod:`repro.kernel` (the default; ``None`` reads the ``REPRO_FAST``
+    opt-out) and the reference kernel, which stays authoritative and
+    always runs observed or sanitized points and geometries the fast
+    kernel does not specialize.  Both produce byte-identical statistics.
     """
-    if obs is None and not sanitize:
-        # Imported lazily: repro.kernel pulls in the full component
-        # stack, and most simulate() callers never opt in.
-        from repro.kernel.fastcore import FastSystem, fast_enabled, kernel_supports
+    # Imported lazily: repro.kernel builds on this module.
+    from repro.kernel.compiled import compile_trace
+    from repro.kernel.fastcore import select_kernel
 
-        if fast is None:
-            fast = fast_enabled()
-        if fast and kernel_supports(config):
-            from repro.kernel.compiled import compile_trace
-
-            fast_system = FastSystem(config)
-            if warmup_trace is not None:
-                fast_system.warmup(compile_trace(warmup_trace))
-            return fast_system.run(compile_trace(trace))
-    system = System(config, obs=obs, sanitize=sanitize)
+    system = select_kernel(config, obs=obs, sanitize=sanitize, fast=fast)
     if warmup_trace is not None:
-        system.warmup(warmup_trace)
-    return system.run(trace)
+        # The warm-up's compiled views are dropped before the main run.
+        system.warmup(warmup_trace, compile_trace(warmup_trace))
+    return system.run(trace, compile_trace(trace))

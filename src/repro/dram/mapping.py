@@ -24,8 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.config import DRAMConfig
 
 __all__ = ["DRAMCoordinates", "AddressMapping", "BaseMapping", "XorMapping", "make_mapping"]
@@ -105,25 +103,6 @@ class AddressMapping:
     def translate(self, addr: int) -> DRAMCoordinates:
         raise NotImplementedError
 
-    def _split_arrays(self, addrs: np.ndarray) -> tuple:
-        """Vectorized :meth:`_split` over an int64 address array."""
-        shifted = addrs >> (self._offset_bits + self._channel_bits)
-        column = shifted & self._column_mask
-        shifted = shifted >> self._column_bits
-        devbank = shifted & self._devbank_mask
-        shifted = shifted >> self._devbank_bits
-        row = shifted & self._row_mask
-        return column, devbank, row
-
-    def translate_arrays(self, addrs: np.ndarray) -> tuple:
-        """Vectorized :meth:`translate`: (bank, row, column) int64 arrays.
-
-        Element ``i`` of each array equals the corresponding field of
-        ``translate(int(addrs[i]))`` — the kernel package relies on this
-        to precompile coordinate columns for a whole trace at once.
-        """
-        raise NotImplementedError
-
 
 class BaseMapping(AddressMapping):
     """Straightforward mapping of Figure 3a.
@@ -140,10 +119,6 @@ class BaseMapping(AddressMapping):
     def translate(self, addr: int) -> DRAMCoordinates:
         column, devbank, row = self._split(addr)
         return DRAMCoordinates(bank=devbank, row=row, column=column)
-
-    def translate_arrays(self, addrs: np.ndarray) -> tuple:
-        column, devbank, row = self._split_arrays(addrs)
-        return devbank, row, column
 
 
 class XorMapping(AddressMapping):
@@ -163,17 +138,6 @@ class XorMapping(AddressMapping):
         else:
             rotated = bank
         return DRAMCoordinates(bank=(rotated << self._device_bits) | device, row=row, column=column)
-
-    def translate_arrays(self, addrs: np.ndarray) -> tuple:
-        column, devbank, row = self._split_arrays(addrs)
-        swizzled = devbank ^ (row & self._devbank_mask)
-        device = swizzled & self._device_mask
-        bank = (swizzled >> self._device_bits) & self._bank_mask
-        if self._bank_bits > 0:
-            rotated = ((bank & 1) << (self._bank_bits - 1)) | (bank >> 1)
-        else:
-            rotated = bank
-        return (rotated << self._device_bits) | device, row, column
 
 
 def make_mapping(config: DRAMConfig) -> AddressMapping:

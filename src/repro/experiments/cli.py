@@ -71,61 +71,35 @@ def default_cache_dir() -> str:
     )
 
 
-def _profile_sim(benchmark: str, profile, fast: bool = False, top: int = 25) -> int:
+def _profile_sim(benchmark: str, profile, top: int = 25) -> int:
     """Simulate one point under cProfile; print sorted hot-spot tables.
 
     Trace construction and the simulation itself both run inside the
     profile window (trace generation is part of the optimized kernel).
     The point uses the prefetch-enabled configuration so the region
-    engine and DRAM scheduling paths appear in the profile.
-
-    With ``--fast`` the profile covers the batched fast path instead:
-    one ``simulate_batch`` over several configuration variants sharing
-    the benchmark's trace, which is the shape sweeps actually run.
+    engine and DRAM scheduling paths appear in the profile, and runs on
+    the default kernel (``REPRO_FAST=0`` profiles the reference one).
     """
     import cProfile
     import io
     import pstats
 
     from repro.core.config import SystemConfig
+    from repro.kernel import select_kernel
     from repro.runner import SimPoint
     from repro.runner.worker import execute_point
 
+    point = SimPoint(
+        benchmark=benchmark,
+        config=SystemConfig().with_prefetch(enabled=True),
+        memory_refs=profile.memory_refs,
+        seed=profile.seed,
+    )
     profiler = cProfile.Profile()
-    if fast:
-        import time as _time
-        from dataclasses import replace
-
-        from repro.kernel import simulate_batch
-        from repro.runner.worker import get_traces
-
-        base = SystemConfig()
-        configs = [
-            base,
-            base.with_prefetch(enabled=True),
-            base.with_prefetch(enabled=True, policy="fifo"),
-            replace(base, dram=replace(base.dram, mapping="base")),
-        ]
-        started = _time.perf_counter()
-        profiler.enable()
-        warm, main = get_traces(
-            benchmark, profile.memory_refs, profile.seed, base.l2.size_bytes
-        )
-        simulate_batch(main, configs, warmup_trace=warm, fast=True)
-        profiler.disable()
-        wall = _time.perf_counter() - started
-        shape = f"batch of {len(configs)} configs, fast kernel"
-    else:
-        point = SimPoint(
-            benchmark=benchmark,
-            config=SystemConfig().with_prefetch(enabled=True),
-            memory_refs=profile.memory_refs,
-            seed=profile.seed,
-        )
-        profiler.enable()
-        _, wall = execute_point(point)
-        profiler.disable()
-        shape = "single point, reference kernel"
+    profiler.enable()
+    _, wall = execute_point(point)
+    profiler.disable()
+    shape = f"single point, {type(select_kernel(point.config)).__name__}"
     stream = io.StringIO()
     stats = pstats.Stats(profiler, stream=stream)
     stats.sort_stats("cumulative").print_stats(top)
@@ -215,11 +189,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--fast",
         action="store_true",
-        help="opt into the specialized simulation kernel (repro.kernel): "
-        "sets REPRO_FAST=1 for this process and its pool workers.  "
-        "Statistics and experiment output are byte-identical to the "
-        "reference kernel (the golden and A/B suites enforce it); "
-        "observed or sanitized points always run the reference kernel",
+        help="no-op, kept so existing commands still work: the "
+        "specialized kernel (repro.kernel) is the default.  Set "
+        "REPRO_FAST=0 to run the reference kernel instead; output is "
+        "byte-identical either way, and observed or sanitized points "
+        "always run the reference kernel",
     )
     parser.add_argument(
         "--backend",
@@ -295,9 +269,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                 f"--backend: unknown DRAM backend {args.backend!r} "
                 f"(registered: {', '.join(backend_names())})"
             )
-        # Environment, not a parameter, for the same reason as --fast:
-        # pool workers inherit it, and every SystemConfig constructed
-        # anywhere in the experiment picks it up as the default.
+        # Environment, not a parameter: pool workers inherit it, and
+        # every SystemConfig constructed anywhere in the experiment
+        # picks it up as the default.
         os.environ["REPRO_BACKEND"] = args.backend
     if args.jobs is not None and args.jobs < 1:
         parser.error(f"--jobs must be >= 1, got {args.jobs}")
@@ -306,23 +280,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.max_retries is not None and args.max_retries < 0:
         parser.error(f"--max-retries must be >= 0, got {args.max_retries}")
 
-    if args.fast:
-        # Environment, not a parameter: pool workers inherit it, and
-        # execute_point resolves it per point (observed/sanitized
-        # points still take the reference kernel).
-        os.environ["REPRO_FAST"] = "1"
-
     if args.profile_sim is not None:
         from repro.experiments.common import active_profile
         from repro.workloads import BENCHMARKS
 
         if args.profile_sim not in BENCHMARKS:
             parser.error(f"--profile-sim: unknown benchmark {args.profile_sim!r}")
-        return _profile_sim(
-            args.profile_sim,
-            PROFILES[args.profile] if args.profile else active_profile(),
-            fast=args.fast,
-        )
+        profile = PROFILES[args.profile] if args.profile else active_profile()
+        return _profile_sim(args.profile_sim, profile)
 
     cache_dir = None if args.no_cache else (args.cache_dir or default_cache_dir())
     runner_kwargs = {}

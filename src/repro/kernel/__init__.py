@@ -1,12 +1,14 @@
-"""Batched, precompiled, and specialized simulation kernels.
+"""Compiled trace columns, the specialized kernel, and its dispatch.
 
 This package is the performance layer over the reference simulator:
 
-* :mod:`repro.kernel.compiled` — content-digested, process-memoized
-  derived trace columns (list views, cache set indices, DRAM
-  coordinates) shared by every sweep point touching a trace;
-* :mod:`repro.kernel.fastcore` — the ``REPRO_FAST`` opt-in specialized
-  interpreter, byte-identical to the reference kernel;
+* :mod:`repro.kernel.compiled` — derived trace columns (list views,
+  cache set indices) built per point, or once per ``simulate_batch``
+  call and shared by its configurations;
+* :mod:`repro.kernel.fastcore` — ``FastSystem``, the specialized
+  interpreter (byte-identical to the reference kernel), and
+  ``select_kernel``, the one place a kernel is chosen: fast by default,
+  ``REPRO_FAST=0`` opts out;
 * :mod:`repro.kernel.batch` — ``simulate_batch`` for multi-config
   sweeps over one shared compiled trace;
 * :mod:`repro.kernel.store` — the content-addressed on-disk trace
@@ -14,23 +16,18 @@ This package is the performance layer over the reference simulator:
   worker processes.
 
 The pure-Python reference kernel (``repro.cpu.core`` and friends)
-remains authoritative: the fast path must match it byte for byte and
-falls back to it whenever observability, sanitizing, or an
-unspecialized geometry is involved.
+remains authoritative: the fast path must match it byte for byte, and
+``select_kernel`` falls back to it whenever observability, sanitizing,
+or a configuration the fast kernel does not specialize is involved.
 """
 
-from repro.kernel.batch import simulate_batch, simulate_fast
-from repro.kernel.compiled import (
-    CompiledTrace,
-    clear_compile_cache,
-    compile_trace,
-    trace_digest,
-)
+from repro.kernel.batch import simulate_batch
+from repro.kernel.compiled import CompiledTrace, compile_trace, trace_digest
 from repro.kernel.fastcore import (
     FastSystem,
-    clear_warm_cache,
     fast_enabled,
     kernel_supports,
+    select_kernel,
 )
 from repro.kernel.store import TraceStore, trace_store_from_env
 
@@ -38,13 +35,11 @@ __all__ = [
     "CompiledTrace",
     "FastSystem",
     "TraceStore",
-    "clear_compile_cache",
-    "clear_warm_cache",
     "compile_trace",
     "fast_enabled",
     "kernel_supports",
+    "select_kernel",
     "simulate_batch",
-    "simulate_fast",
     "trace_digest",
     "trace_store_from_env",
 ]

@@ -1,15 +1,13 @@
 """Multi-config batching over one shared compiled trace.
 
-``simulate_batch`` walks a single :class:`CompiledTrace` once per
-process while stepping several configuration variants: the trace's
-list conversions, derived cache columns, and DRAM coordinate maps are
-built once and shared by every point, so the per-config cost is the
-simulation proper.  With the fast kernel opted in (``fast=True`` /
-``REPRO_FAST=1``) each point runs the specialized interpreter in
-:mod:`repro.kernel.fastcore`; otherwise each point runs the reference
-``System`` fed with the precompiled columns.  Either way the results
-are byte-identical to independent ``simulate`` calls — enforced by the
-singleton-equivalence property test in ``tests/test_kernel_ab.py``.
+``simulate_batch`` compiles a trace once per call and steps several
+configuration variants over it: the trace's list conversions and
+derived cache columns are built once and shared by every point, so the
+per-config cost is the simulation proper.  Each point runs on the
+kernel :func:`~repro.kernel.fastcore.select_kernel` picks for it, and
+the results are byte-identical to independent ``simulate`` calls —
+enforced by the singleton-equivalence property test in
+``tests/test_kernel_ab.py``.
 """
 
 from __future__ import annotations
@@ -18,24 +16,11 @@ from typing import List, Optional, Sequence
 
 from repro.core.config import SystemConfig
 from repro.core.stats import SimStats
-from repro.core.system import System
 from repro.cpu.trace import Trace
-from repro.kernel.compiled import CompiledTrace, compile_trace
-from repro.kernel.fastcore import FastSystem, fast_enabled, kernel_supports
+from repro.kernel.compiled import compile_trace
+from repro.kernel.fastcore import select_kernel
 
-__all__ = ["simulate_batch", "simulate_fast"]
-
-
-def simulate_fast(
-    trace: Trace,
-    config: SystemConfig,
-    warmup_trace: Optional[Trace] = None,
-) -> SimStats:
-    """Run one point on the specialized kernel (caller checked support)."""
-    system = FastSystem(config)
-    if warmup_trace is not None:
-        system.warmup(compile_trace(warmup_trace))
-    return system.run(compile_trace(trace))
+__all__ = ["simulate_batch"]
 
 
 def simulate_batch(
@@ -52,9 +37,8 @@ def simulate_batch(
     ``warmup_trace`` warms every point with the same trace;
     ``warmup_traces`` supplies one per config (entries may be None) for
     sweeps whose warm-up depends on the config, e.g. on the L2 size.
-    ``obs``/``sanitize`` apply to every point and force the reference
-    kernel, exactly as in :func:`repro.core.system.simulate`; ``fast``
-    follows ``REPRO_FAST`` when None.  Statistics are byte-identical
+    ``obs``/``sanitize``/``fast`` apply to every point exactly as in
+    :func:`repro.core.system.simulate`.  Statistics are byte-identical
     to N independent ``simulate`` calls in every mode.
     """
     if warmup_traces is not None:
@@ -65,35 +49,17 @@ def simulate_batch(
                 f"warmup_traces has {len(warmup_traces)} entries "
                 f"for {len(configs)} configs"
             )
-    if fast is None:
-        fast = fast_enabled()
-    use_reference = obs is not None or bool(sanitize)
+    else:
+        warmup_traces = [warmup_trace] * len(configs)
 
-    compiled = compile_trace(trace)
-    warm_cache: dict = {}
-
-    def compiled_warmup(warm: Optional[Trace]) -> Optional[CompiledTrace]:
-        if warm is None:
-            return None
-        cached = warm_cache.get(id(warm))
-        if cached is None:
-            cached = compile_trace(warm)
-            warm_cache[id(warm)] = cached
-        return cached
-
+    # One compilation per distinct trace object, shared within this call.
+    compiled = {id(trace): compile_trace(trace)}
     results: List[SimStats] = []
-    for i, config in enumerate(configs):
-        warm = warmup_traces[i] if warmup_traces is not None else warmup_trace
-        if fast and not use_reference and kernel_supports(config):
-            system = FastSystem(config)
-            warm_compiled = compiled_warmup(warm)
-            if warm_compiled is not None:
-                system.warmup(warm_compiled)
-            results.append(system.run(compiled))
-            continue
-        reference = System(config, obs=obs, sanitize=sanitize)
+    for config, warm in zip(configs, warmup_traces):
+        system = select_kernel(config, obs=obs, sanitize=sanitize, fast=fast)
         if warm is not None:
-            warm_compiled = compiled_warmup(warm)
-            reference.warmup(warm, columns=warm_compiled.base_columns())
-        results.append(reference.run(trace, columns=compiled.base_columns()))
+            if id(warm) not in compiled:
+                compiled[id(warm)] = compile_trace(warm)
+            system.warmup(warm, compiled[id(warm)])
+        results.append(system.run(trace, compiled[id(trace)]))
     return results

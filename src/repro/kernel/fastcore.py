@@ -28,15 +28,6 @@ Three rules keep the float results exact rather than merely close:
   non-negative simulation times, so the selected value is equal even
   when the argument order differs.
 
-**Warm-state memoization.**  Warm-up runs are deterministic functions
-of ``(config, warm-trace digest)``, so the post-warm-up machine state
-(cache contents, DRAM bank/bus state, prefetch queue, clock) is
-snapshotted per process and restored on repeat — a sweep or benchmark
-re-running the same warm-up pays the full simulation once.  Snapshots
-deep-copy the line lists both ways, so a restored system can never
-alias a cached one; the restored state is byte-for-byte the state the
-warm-up run would have produced.
-
 State layout notes: a cache line is ``[block, dirty, prefetched,
 ready_time]``; L1 fills skip the reference's merge check because
 nothing can install an L1 line between the lookup miss and its fill
@@ -49,40 +40,34 @@ from __future__ import annotations
 
 import os
 from heapq import heappop, heappush
-from typing import Optional
+from typing import TYPE_CHECKING, Callable, Optional, Tuple, Union
 
 from repro.cache.replacement import insertion_index
 from repro.core.config import SystemConfig
 from repro.core.stats import SimStats
-from repro.dram.mapping import make_mapping
-from repro.kernel.compiled import CompiledTrace
+from repro.core.system import System
+from repro.cpu.trace import Trace
+from repro.dram.mapping import AddressMapping, make_mapping
+from repro.kernel.compiled import CompiledTrace, compile_trace
 from repro.prefetch.engine import THROTTLE_PROBE_PERIOD
 from repro.prefetch.stride import StridePrefetcher
 
-__all__ = [
-    "FastSystem",
-    "fast_enabled",
-    "kernel_supports",
-    "clear_warm_cache",
-    "HAVE_NUMBA",
-]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.obs.observer import Observer
+    from repro.sanitize.sanitizer import Sanitizer
 
-# Optional JIT hook: when numba is importable the columnar precompute
-# helpers could be njit-compiled.  The container image does not ship
-# numba, so the flag simply records availability; all code paths below
-# are pure Python + numpy and do not require it.
-try:  # pragma: no cover - exercised only where numba is installed
-    import numba  # noqa: F401
+__all__ = ["FastSystem", "fast_enabled", "kernel_supports", "select_kernel"]
 
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
-
-_TRUE_VALUES = ("1", "true", "yes", "on")
+_TRUE_VALUES = ("", "1", "true", "yes", "on")
 
 
 def fast_enabled(env: Optional[str] = None) -> bool:
-    """Parse the ``REPRO_FAST`` opt-in (default: off)."""
+    """Parse the ``REPRO_FAST`` opt-out (default: on).
+
+    Unset or empty, and the usual true spellings, keep the fast kernel;
+    ``0``/``off``/``false``/``no`` — and any value not recognized —
+    select the reference kernel.
+    """
     value = os.environ.get("REPRO_FAST", "") if env is None else env
     return value.strip().lower() in _TRUE_VALUES
 
@@ -90,9 +75,9 @@ def fast_enabled(env: Optional[str] = None) -> bool:
 def kernel_supports(config: SystemConfig) -> bool:
     """Geometries the fast kernel can specialize.
 
-    The kernel derives each record's L2 block from its precompiled L1
-    block (``l1_block & ~(l2_block-1)``), which requires both L1 block
-    sizes to divide the L2 block size.  ``SystemConfig`` enforces this
+    The kernel derives each record's L2 block from its L1 block
+    (``l1_block & ~(l2_block-1)``), which requires both L1 block sizes
+    to divide the L2 block size.  ``SystemConfig`` enforces this
     for the L1D only; unusual L1I geometries fall back to the reference
     kernel.
 
@@ -109,14 +94,58 @@ def kernel_supports(config: SystemConfig) -> bool:
     return True
 
 
-#: post-warm-up machine-state snapshots, keyed by (config, digest).
-_WARM_MEMO: dict = {}
-_WARM_MEMO_LIMIT = 16
+def select_kernel(
+    config: SystemConfig,
+    obs: "Optional[Observer]" = None,
+    sanitize: "Union[bool, Sanitizer, None]" = None,
+    fast: Optional[bool] = None,
+) -> "Union[FastSystem, System]":
+    """A fresh system for ``config`` on the kernel that should run it.
+
+    This is the one place a kernel is chosen.  The fast kernel runs
+    unless ``fast`` is false (``None`` reads ``REPRO_FAST``), an
+    observer or sanitizer is attached (both hook only the reference
+    stack), or :func:`kernel_supports` rejects the configuration.  Both
+    kernels expose ``warmup(trace, compiled)`` / ``run(trace, compiled)``
+    and produce byte-identical statistics.
+    """
+    if fast is None:
+        fast = fast_enabled()
+    if fast and obs is None and not sanitize and kernel_supports(config):
+        return FastSystem(config)
+    return System(config, obs=obs, sanitize=sanitize)
 
 
-def clear_warm_cache() -> None:
-    """Drop all memoized warm-up state snapshots (test isolation)."""
-    _WARM_MEMO.clear()
+def bank_row_function(mapping: AddressMapping) -> Callable[[int], Tuple[int, int]]:
+    """``block -> (bank, row)``: ``mapping.translate`` reduced to the two
+    fields the kernel uses, as a closure over the mapping's field split
+    (computed per access; nothing is cached)."""
+    shift = mapping._offset_bits + mapping._channel_bits + mapping._column_bits
+    devbank_mask = mapping._devbank_mask
+    devbank_bits = mapping._devbank_bits
+    row_mask = mapping._row_mask
+    if mapping.name == "base":
+
+        def base_coord(block):
+            shifted = block >> shift
+            return shifted & devbank_mask, (shifted >> devbank_bits) & row_mask
+
+        return base_coord
+    device_mask = mapping._device_mask
+    device_bits = mapping._device_bits
+    bank_mask = mapping._bank_mask
+    bank_bits = mapping._bank_bits
+
+    def xor_coord(block):
+        shifted = block >> shift
+        row = (shifted >> devbank_bits) & row_mask
+        swizzled = (shifted & devbank_mask) ^ (row & devbank_mask)
+        bank = (swizzled >> device_bits) & bank_mask
+        if bank_bits > 0:
+            bank = ((bank & 1) << (bank_bits - 1)) | (bank >> 1)
+        return (bank << device_bits) | (swizzled & device_mask), row
+
+    return xor_coord
 
 
 class FastSystem:
@@ -133,7 +162,6 @@ class FastSystem:
             raise ValueError("configuration not supported by the fast kernel")
         self.stats = SimStats()
         self._clock = 0.0
-        self._fresh = True
 
         core = config.core
         self._issue_width = float(core.issue_width)
@@ -197,19 +225,8 @@ class FastSystem:
         self._col_free = 0.0
         self._data_free = 0.0
 
-        # The mapping's private field split drives the inline coordinate
-        # fallback for blocks outside the precompiled map.
         self._mapping = make_mapping(dram)
-        m = self._mapping
-        self._coord_shift = m._offset_bits + m._channel_bits + m._column_bits
-        self._devbank_mask = m._devbank_mask
-        self._devbank_bits = m._devbank_bits
-        self._row_mask = m._row_mask
-        self._device_mask = m._device_mask
-        self._device_bits = m._device_bits
-        self._bank_mask = m._bank_mask
-        self._bank_bits = m._bank_bits
-        self._is_xor = dram.mapping == "xor"
+        self._coord = bank_row_function(self._mapping)
 
         prefetch = config.prefetch
         self._prefetcher = None  # object engine (stride only)
@@ -247,86 +264,22 @@ class FastSystem:
 
     # -- public run API -------------------------------------------------------
 
-    def run(self, compiled: CompiledTrace) -> SimStats:
-        """Execute ``compiled`` on this system; returns accumulated stats."""
-        self._fresh = False
+    def run(self, trace: Trace, compiled: Optional[CompiledTrace] = None) -> SimStats:
+        """Execute ``trace`` on this system; returns accumulated stats.
+
+        ``compiled`` is the trace's :class:`CompiledTrace` when the
+        caller shares one between systems; otherwise one is built here
+        and freed on return.
+        """
+        if compiled is None:
+            compiled = compile_trace(trace)
         self._clock = self._run(compiled, self._clock)
         return self.stats
 
-    def warmup(self, compiled: CompiledTrace) -> None:
-        """Warm caches/DRAM/prefetcher state, then zero the statistics.
-
-        The post-warm-up state of a fresh system is a pure function of
-        ``(config, compiled.digest)``, so it is memoized per process:
-        repeat warm-ups restore a snapshot instead of re-simulating.
-        (Not applied when a stride engine is attached — its state lives
-        in a reference object that is cheap enough to just re-run.)
-        """
-        key = None
-        if self._fresh and self._prefetcher is None:
-            key = (self.config, compiled.digest)
-            snapshot = _WARM_MEMO.get(key)
-            if snapshot is not None:
-                self._restore(snapshot)
-                self._fresh = False
-                return
-        self._fresh = False
-        self._clock = self._run(compiled, self._clock)
+    def warmup(self, trace: Trace, compiled: Optional[CompiledTrace] = None) -> None:
+        """Warm caches/DRAM/prefetcher state, then zero the statistics."""
+        self.run(trace, compiled)
         self.stats.reset()
-        if key is not None:
-            if len(_WARM_MEMO) >= _WARM_MEMO_LIMIT:
-                _WARM_MEMO.pop(next(iter(_WARM_MEMO)))
-            _WARM_MEMO[key] = self._snapshot()
-
-    # -- warm-state snapshots -------------------------------------------------
-
-    def _snapshot(self) -> tuple:
-        def copy_sets(sets: list) -> list:
-            return [[line[:] for line in lines] for lines in sets]
-
-        return (
-            copy_sets(self._l1i_sets),
-            copy_sets(self._l1d_sets),
-            copy_sets(self._l2_sets),
-            self._open_rows[:],
-            self._busy_until[:],
-            self._flushed_rows[:],
-            self._row_free,
-            self._col_free,
-            self._data_free,
-            [entry[:] for entry in self._pf_entries],
-            self._pf_outcome_total,
-            self._pf_outcome_useful,
-            self._pf_throttle_skips,
-            self._clock,
-        )
-
-    def _restore(self, snapshot: tuple) -> None:
-        (l1i, l1d, l2c, orows, busy, frows, rf, cf, df, entries, ot, ou, ts, clock) = (
-            snapshot
-        )
-        for sets, tags, src in (
-            (self._l1i_sets, self._l1i_tags, l1i),
-            (self._l1d_sets, self._l1d_tags, l1d),
-            (self._l2_sets, self._l2_tags, l2c),
-        ):
-            for i, lines in enumerate(src):
-                copied = [line[:] for line in lines]
-                sets[i] = copied
-                # A tag dict maps a line's block to the line itself, so
-                # it can be rebuilt exactly from the copied lines.
-                tags[i] = {line[0]: line for line in copied}
-        self._open_rows[:] = orows
-        self._busy_until[:] = busy
-        self._flushed_rows[:] = frows
-        self._row_free = rf
-        self._col_free = cf
-        self._data_free = df
-        self._pf_entries[:] = [entry[:] for entry in entries]
-        self._pf_outcome_total = ot
-        self._pf_outcome_useful = ou
-        self._pf_throttle_skips = ts
-        self._clock = clock
 
     # -- the kernel -----------------------------------------------------------
 
@@ -334,11 +287,7 @@ class FastSystem:
         config = self.config
         stats = self.stats
 
-        # Columns (shared, precompiled once per trace content).
-        kinds_col, gaps_col, _, deps_col, pcs_col = compiled.base_columns()
-        blocks_col, sets_col = compiled.l1_columns(config.l1i, config.l1d)
-        cmap = compiled.coord_map(config.dram, config.l2.block_bytes)
-        cmap_get = cmap.get
+        kinds_col, gaps_col, addrs_col, deps_col, pcs_col = compiled.base_columns()
 
         # Hoisted configuration scalars.
         issue_width = self._issue_width
@@ -359,6 +308,12 @@ class FastSystem:
         l2_block_mask = self._l2_block_mask
         l2_offset_bits = self._l2_offset_bits
         l2_index_mask = self._l2_index_mask
+        l1i_block_mask = ~(config.l1i.block_bytes - 1)
+        l1i_offset_bits = config.l1i.block_offset_bits
+        l1i_index_mask = config.l1i.num_sets - 1
+        l1d_block_mask = ~(config.l1d.block_bytes - 1)
+        l1d_offset_bits = config.l1d.block_offset_bits
+        l1d_index_mask = config.l1d.num_sets - 1
         pf_slot = self._pf_slot
         block_packets = self._block_packets
         single_packet = block_packets == 1
@@ -419,15 +374,7 @@ class FastSystem:
         regions_enq = regions_rep = regions_comp = regions_prom = 0
         throttled_n = 0
 
-        coord_shift = self._coord_shift
-        devbank_mask = self._devbank_mask
-        devbank_bits = self._devbank_bits
-        row_mask = self._row_mask
-        device_mask = self._device_mask
-        device_bits = self._device_bits
-        bank_mask = self._bank_mask
-        bank_bits = self._bank_bits
-        is_xor = self._is_xor
+        coord = self._coord
 
         # Channel bus state: carry-in floats shared with the closures.
         row_free = self._row_free
@@ -451,24 +398,6 @@ class FastSystem:
         l2_dem = 0
         pf_issued = pf_useful = pf_late = pf_evicted = 0
         i_stalls = d_stalls = 0
-
-        def coord(block):
-            # Slow path: block outside the precompiled map (victims and
-            # prefetch targets beyond the trace footprint).
-            shifted = block >> coord_shift
-            devbank = shifted & devbank_mask
-            row = (shifted >> devbank_bits) & row_mask
-            if is_xor:
-                swizzled = devbank ^ (row & devbank_mask)
-                device = swizzled & device_mask
-                bank = (swizzled >> device_bits) & bank_mask
-                if bank_bits > 0:
-                    bank = ((bank & 1) << (bank_bits - 1)) | (bank >> 1)
-                c = ((bank << device_bits) | device, row)
-            else:
-                c = (devbank, row)
-            cmap[block] = c
-            return c
 
         def chan_access(time, bnk, row, cls):
             # LogicalChannel.access, flattened (obs/san are never
@@ -579,8 +508,7 @@ class FastSystem:
             lines.insert(pf_slot if pf_slot < len(lines) else len(lines), line)
             tags[block] = line
             if victim is not None and victim[1]:
-                c = cmap_get(victim[0])
-                vbank, vrow = c if c is not None else coord(victim[0])
+                vbank, vrow = coord(victim[0])
                 chan_access(ready_time, vbank, vrow, wb_cls)
                 l2_wb += 1
 
@@ -636,8 +564,7 @@ class FastSystem:
                         if not pf_bank_aware:
                             break
                     if pf_bank_aware:
-                        c = cmap_get(addr)
-                        bnk, row = c if c is not None else coord(addr)
+                        bnk, row = coord(addr)
                         if open_rows[bnk] == row:
                             chosen_entry = entry
                             chosen_addr = addr
@@ -656,8 +583,7 @@ class FastSystem:
                 if bitmap == pf_all_set or scan >= pf_last:
                     pf_entries.remove(chosen_entry)
                     regions_comp += 1
-                c = cmap_get(chosen_addr)
-                bnk, row = c if c is not None else coord(chosen_addr)
+                bnk, row = coord(chosen_addr)
                 completion = chan_access(time, bnk, row, pf_cls)
                 pf_issued += 1
                 pf_fill(chosen_addr, completion)
@@ -671,8 +597,7 @@ class FastSystem:
                 addr = pf_select(shim, mapping, resident, now=time)
                 if addr is None:
                     return None
-                c = cmap_get(addr)
-                bnk, row = c if c is not None else coord(addr)
+                bnk, row = coord(addr)
                 completion = chan_access(time, bnk, row, pf_cls)
                 pf_issued += 1
                 pf_fill(addr, completion)
@@ -743,8 +668,7 @@ class FastSystem:
             l2_miss += 1
             if drain_on and col_free + idle_guard <= t2:
                 drain(t2)
-            c = cmap_get(block)
-            bnk, row = c if c is not None else coord(block)
+            bnk, row = coord(block)
             completion = chan_access(t2, bnk, row, rd_cls)
             if have_pf:
                 if region_on:
@@ -818,8 +742,7 @@ class FastSystem:
             lines.insert(0, line)
             tags[block] = line
             if victim is not None and victim[1]:
-                c = cmap_get(victim[0])
-                vbank, vrow = c if c is not None else coord(victim[0])
+                vbank, vrow = coord(victim[0])
                 chan_access(completion, vbank, vrow, wb_cls)
                 l2_wb += 1
             return completion
@@ -838,8 +761,8 @@ class FastSystem:
         inst_count = 0
         loads = stores = ifetches = swprefetches = 0
 
-        for kind, gap, dep, pc, blk, sidx in zip(
-            kinds_col, gaps_col, deps_col, pcs_col, blocks_col, sets_col
+        for kind, gap, addr, dep, pc in zip(
+            kinds_col, gaps_col, addrs_col, deps_col, pcs_col
         ):
             if kind == 3 and not use_swpf:  # discarded software prefetch
                 if gap:
@@ -868,6 +791,8 @@ class FastSystem:
                     completion = ready + l1i_lat
                 else:
                     l1i_acc += 1
+                    blk = addr & l1i_block_mask
+                    sidx = (addr >> l1i_offset_bits) & l1i_index_mask
                     tags = l1i_tags[sidx]
                     line = tags.get(blk)
                     if line is not None:
@@ -911,8 +836,7 @@ class FastSystem:
                             if vline is not None:
                                 vline[1] = True
                             elif not perfect_l2:
-                                c = cmap_get(vblock)
-                                vbank, vrow = c if c is not None else coord(vblock)
+                                vbank, vrow = coord(vblock)
                                 chan_access(completion, vbank, vrow, wb_cls)
                                 l2_wb += 1
                             l1i_wb += 1
@@ -965,6 +889,8 @@ class FastSystem:
                 missed = False
             else:
                 l1d_acc += 1
+                blk = addr & l1d_block_mask
+                sidx = (addr >> l1d_offset_bits) & l1d_index_mask
                 tags = l1d_tags[sidx]
                 line = tags.get(blk)
                 if line is not None:
@@ -1008,8 +934,7 @@ class FastSystem:
                         if vline is not None:
                             vline[1] = True
                         elif not perfect_l2:
-                            c = cmap_get(vblock)
-                            vbank, vrow = c if c is not None else coord(vblock)
+                            vbank, vrow = coord(vblock)
                             chan_access(completion, vbank, vrow, wb_cls)
                             l2_wb += 1
                         l1d_wb += 1

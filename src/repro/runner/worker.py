@@ -13,18 +13,20 @@ it is amortized at two levels: each process memoizes the most recent
 traces (the parent's memo also backs
 :func:`repro.experiments.common.get_traces`), and a machine-wide
 content-addressed store (:mod:`repro.kernel.store`) shares built traces
-across worker processes and runner invocations.
+across worker processes and runner invocations.  The memo is
+single-flight: threads that miss on the same recipe at once (the
+service runs points on threads) wait for one build.
 """
 
 from __future__ import annotations
 
+import threading
 import time
+from concurrent.futures import Future
 from typing import Dict, Optional, Tuple
 
-from repro.core.system import System
+from repro.core.system import simulate
 from repro.cpu.trace import Trace
-from repro.kernel.batch import simulate_fast
-from repro.kernel.fastcore import fast_enabled, kernel_supports
 from repro.kernel.store import trace_store_from_env
 from repro.runner import faults
 from repro.workloads import build_trace
@@ -32,8 +34,10 @@ from repro.workloads.registry import build_warmup_trace
 
 __all__ = ["execute_point", "get_traces"]
 
-_TRACE_MEMO: Dict[Tuple[str, int, int, int], Tuple[Trace, Trace]] = {}
+#: recipe -> Future of (warm, main); a pending future is an in-flight build.
+_TRACE_MEMO: "Dict[Tuple[str, int, int, int], Future]" = {}
 _TRACE_MEMO_LIMIT = 8
+_TRACE_MEMO_LOCK = threading.Lock()
 
 
 def _build_traces(
@@ -63,13 +67,30 @@ def get_traces(
     seed: int,
     l2_bytes: int,
 ) -> Tuple[Optional[Trace], Trace]:
-    """(warm-up initialization trace, measured trace) for one benchmark."""
+    """(warm-up initialization trace, measured trace) for one benchmark.
+
+    The first caller to miss on a recipe builds it; concurrent callers
+    for the same recipe wait for that build instead of repeating it.
+    A failed build is forgotten, so the next caller retries.
+    """
     key = (benchmark, memory_refs, seed, l2_bytes)
-    if key not in _TRACE_MEMO:
-        if len(_TRACE_MEMO) >= _TRACE_MEMO_LIMIT:
-            _TRACE_MEMO.pop(next(iter(_TRACE_MEMO)))
-        _TRACE_MEMO[key] = _build_traces(benchmark, memory_refs, seed, l2_bytes)
-    warm, main = _TRACE_MEMO[key]
+    with _TRACE_MEMO_LOCK:
+        future = _TRACE_MEMO.get(key)
+        builder = future is None
+        if builder:
+            if len(_TRACE_MEMO) >= _TRACE_MEMO_LIMIT:
+                _TRACE_MEMO.pop(next(iter(_TRACE_MEMO)))
+            future = _TRACE_MEMO[key] = Future()
+    if builder:
+        try:
+            future.set_result(_build_traces(benchmark, memory_refs, seed, l2_bytes))
+        except BaseException as exc:
+            with _TRACE_MEMO_LOCK:
+                if _TRACE_MEMO.get(key) is future:
+                    del _TRACE_MEMO[key]
+            future.set_exception(exc)
+            raise
+    warm, main = future.result()
     return (warm if len(warm) else None), main
 
 
@@ -104,23 +125,18 @@ def execute_point(
     raises :class:`~repro.sanitize.SanitizerError`, which pickles with
     its cycle/component/event context intact.
 
-    ``fast`` opts into the specialized kernel (:mod:`repro.kernel`);
-    ``None`` reads ``REPRO_FAST``, which pool workers inherit from the
-    parent environment.  The statistics are byte-identical either way;
-    observed or sanitized points always run the reference kernel.
+    ``fast`` chooses the kernel as in :func:`repro.core.system.simulate`;
+    ``None`` reads the ``REPRO_FAST`` opt-out, which pool workers inherit
+    from the parent environment.  The statistics are byte-identical
+    either way; observed or sanitized points always run the reference
+    kernel.
     """
     faults.maybe_inject(point.label(), attempt)
     started = time.perf_counter()
     warm, main = get_traces(
         point.benchmark, point.memory_refs, point.seed, point.config.l2.size_bytes
     )
-    if fast is None:
-        fast = fast_enabled()
-    if fast and obs is None and not sanitize and kernel_supports(point.config):
-        stats = simulate_fast(main, point.config, warmup_trace=warm)
-        return stats.to_dict(), time.perf_counter() - started
-    system = System(point.config, obs=obs, sanitize=sanitize)
-    if warm is not None:
-        system.warmup(warm)
-    stats = system.run(main)
+    stats = simulate(
+        main, point.config, warmup_trace=warm, obs=obs, sanitize=sanitize, fast=fast
+    )
     return stats.to_dict(), time.perf_counter() - started

@@ -4,9 +4,12 @@
 output of every workload at the tiny-profile point (8000 memory
 references, seed 0) under the baseline configuration, plus the tiny
 profile's six benchmarks under the prefetch-enabled configuration.
-Performance work on the simulation kernel must leave every number
-byte-identical; any intentional behaviour change must regenerate the
-snapshot *in its own commit* so the diff documents the change:
+The snapshot is generated on, and checked against, the reference
+kernel; every point is then re-run on the default (fast) kernel, which
+must match it byte for byte.  Performance work on the simulation
+kernel must leave every number byte-identical; any intentional
+behaviour change must regenerate the snapshot *in its own commit* so
+the diff documents the change:
 
     PYTHONPATH=src python tests/test_golden_stats.py tests/golden/tiny_stats.json
 """
@@ -38,9 +41,10 @@ def _config(section: str) -> SystemConfig:
     return config
 
 
-def _simulate(section: str, benchmark: str) -> dict:
+def _simulate(section: str, benchmark: str, fast=False) -> dict:
+    """One golden point; ``fast=None`` takes the default kernel."""
     stats, _ = execute_point(
-        SimPoint(benchmark, _config(section), MEMORY_REFS, SEED)
+        SimPoint(benchmark, _config(section), MEMORY_REFS, SEED), fast=fast
     )
     return stats
 
@@ -102,28 +106,23 @@ def test_prefetch_stats_match_golden(workload):
     )
 
 
-#: representative points re-run on the opt-in fast kernel; the golden
-#: snapshot is generated on the reference kernel, so matching it here is
-#: the fast-on/fast-off byte-identity gate at the tiny-profile size.
-FAST_SPOT_CHECKS = (
-    ("baseline", "mcf"),
-    ("baseline", "eon"),
-    ("prefetch", "swim"),
-    ("prefetch", "mcf"),
+#: every golden point, re-run on the default kernel (fast unless
+#: ``REPRO_FAST=0``); matching the reference-generated snapshot is the
+#: fast-on/fast-off byte-identity gate at the tiny-profile size.
+DEFAULT_PATH_POINTS = [("baseline", name) for name in BENCHMARKS] + [
+    ("prefetch", name) for name in PREFETCH_BENCHMARKS
+]
+
+
+@pytest.mark.parametrize(
+    "section,workload",
+    DEFAULT_PATH_POINTS,
+    ids=[f"{section}-{workload}" for section, workload in DEFAULT_PATH_POINTS],
 )
-
-
-@pytest.mark.parametrize("section,workload", FAST_SPOT_CHECKS)
 def test_fast_kernel_stats_match_golden(section, workload):
-    from repro.kernel import clear_warm_cache
-
-    clear_warm_cache()
-    stats, _ = execute_point(
-        SimPoint(workload, _config(section), MEMORY_REFS, SEED), fast=True
-    )
-    assert stats == _golden()[section][workload], (
-        f"the fast kernel drifted from the reference for {section}/{workload}; "
-        "REPRO_FAST must stay byte-identical — fix the kernel, never the snapshot"
+    assert _simulate(section, workload, fast=None) == _golden()[section][workload], (
+        f"the default kernel drifted from the reference for {section}/{workload}; "
+        "it must stay byte-identical — fix the kernel, never the snapshot"
     )
 
 

@@ -1,47 +1,40 @@
 """Unit tests for the ``repro.kernel`` performance layer.
 
-Covers the compiled-trace columns (against the reference per-record
-computations), the process-wide compile memo, the content-addressed
-on-disk trace store, the ``REPRO_FAST`` opt-in parsing, geometry
-support checks, warm-state memoization, and the batched driver's
-argument validation and sanitized fallback.
+Covers the compiled-trace columns, the kernel's inline DRAM coordinates
+(against the reference mapping), the absence of process-wide compile
+memos, the content-addressed on-disk trace store, the ``REPRO_FAST``
+opt-out parsing, geometry support checks, kernel selection, the
+fast kernel's memory footprint, and ``simulate_batch``'s argument
+validation and sanitized fallback.
 """
 
+import gc
 import json
+import random
+import tracemalloc
+import weakref
 
 import pytest
 
 from repro.core.config import CacheConfig, DRAMConfig, SystemConfig
-from repro.core.system import simulate
+from repro.core.system import System, simulate
 from repro.cpu.trace import Trace
 from repro.dram.mapping import make_mapping
 from repro.kernel import (
     CompiledTrace,
     FastSystem,
     TraceStore,
-    clear_compile_cache,
-    clear_warm_cache,
     compile_trace,
     fast_enabled,
     kernel_supports,
+    select_kernel,
     simulate_batch,
-    simulate_fast,
     trace_digest,
     trace_store_from_env,
 )
-from repro.kernel.fastcore import _WARM_MEMO
+from repro.kernel.fastcore import bank_row_function
 from repro.workloads import build_trace
 from repro.workloads.registry import build_warmup_trace
-
-
-@pytest.fixture(autouse=True)
-def _fresh_kernel_caches():
-    """Process-wide memos must not leak state between tests."""
-    clear_compile_cache()
-    clear_warm_cache()
-    yield
-    clear_compile_cache()
-    clear_warm_cache()
 
 
 def _trace(benchmark="mcf", refs=800, seed=0):
@@ -59,61 +52,40 @@ class TestCompiledColumns:
         assert deps == trace.deps.tolist()
         assert pcs == trace.pcs.tolist()
 
-    def test_l1_columns_match_reference_set_index(self):
-        from repro.cache.hierarchy import AccessKind
-
-        trace = _trace("swim")
-        config = SystemConfig()
-        compiled = compile_trace(trace)
-        blocks, sets = compiled.l1_columns(config.l1i, config.l1d)
-        ifetch = int(AccessKind.IFETCH)
-        for i in range(len(trace)):
-            cache = config.l1i if int(trace.kinds[i]) == ifetch else config.l1d
-            addr = int(trace.addrs[i])
-            block = addr & ~(cache.block_bytes - 1)
-            assert blocks[i] == block
-            assert sets[i] == (block >> cache.block_offset_bits) & (
-                cache.num_sets - 1
-            )
-
     @pytest.mark.parametrize("mapping", ["base", "xor"])
-    def test_coord_map_matches_reference_translate(self, mapping):
-        config = SystemConfig()
-        dram = DRAMConfig(mapping=mapping)
+    def test_inline_coord_matches_reference_translate(self, mapping):
+        """The kernel's per-access (bank, row) equals the reference
+        mapping's translate for trace blocks and arbitrary addresses,
+        over channel counts that shift the field layout."""
+        block_bytes = SystemConfig().l2.block_bytes
         trace = _trace()
-        compiled = compile_trace(trace)
-        coords = compiled.coord_map(dram, config.l2.block_bytes)
-        reference = make_mapping(dram)
-        unique_blocks = {
-            int(a) & ~(config.l2.block_bytes - 1) for a in trace.addrs
-        }
-        assert set(coords) == unique_blocks
-        for block in sorted(unique_blocks)[:200]:
-            ref = reference.translate(block)
-            assert coords[block] == (ref.bank, ref.row)
+        blocks = {int(a) & ~(block_bytes - 1) for a in trace.addrs}
+        rng = random.Random(0)
+        blocks.update(rng.randrange(1 << 40) for _ in range(2_000))
+        for channels in (1, 2, 4):
+            reference = make_mapping(DRAMConfig(mapping=mapping, channels=channels))
+            coord = bank_row_function(reference)
+            for block in sorted(blocks):
+                ref = reference.translate(block)
+                assert coord(block) == (ref.bank, ref.row)
 
 
 class TestCompileMemo:
-    def test_equal_content_shares_one_compilation(self):
-        first = _trace("gzip", 400)
-        second = _trace("gzip", 400)
-        assert first is not second
-        assert trace_digest(first) == trace_digest(second)
-        assert compile_trace(first) is compile_trace(second)
+    def test_each_call_compiles_afresh(self):
+        """No process-wide memo: a compilation lives only as long as its
+        holder."""
+        trace = _trace("gzip", 400)
+        first = compile_trace(trace)
+        assert compile_trace(trace) is not first
+        ref = weakref.ref(first)
+        del first
+        gc.collect()
+        assert ref() is None
 
     def test_different_content_differs(self):
         assert trace_digest(_trace("gzip", 400)) != trace_digest(
             _trace("gzip", 400, seed=1)
         )
-
-    def test_same_object_shortcut_survives_memo_eviction(self):
-        trace = _trace("gzip", 400)
-        compiled = compile_trace(trace)
-        # Evict everything from the digest memo; the id-keyed shortcut
-        # still returns the same object for the same Trace instance.
-        for seed in range(20):
-            compile_trace(_trace("gzip", 200, seed=seed))
-        assert compile_trace(trace) is compiled
 
 
 class TestTraceStore:
@@ -168,28 +140,65 @@ class TestTraceStore:
 
 
 class TestFastOptIn:
-    @pytest.mark.parametrize("value", ["1", "true", "TRUE", "yes", "on"])
+    @pytest.mark.parametrize("value", ["", "1", "true", "TRUE", "yes", "on"])
     def test_enabled_values(self, value):
         assert fast_enabled(value)
 
-    @pytest.mark.parametrize("value", ["", "0", "off", "false", "no", "nope"])
+    @pytest.mark.parametrize("value", ["0", "off", "false", "no", "nope"])
     def test_disabled_values(self, value):
         assert not fast_enabled(value)
 
     def test_reads_environment(self, monkeypatch):
         monkeypatch.delenv("REPRO_FAST", raising=False)
-        assert not fast_enabled()
-        monkeypatch.setenv("REPRO_FAST", "1")
         assert fast_enabled()
+        monkeypatch.setenv("REPRO_FAST", "0")
+        assert not fast_enabled()
 
-    def test_simulate_defaults_to_reference_without_opt_in(self, monkeypatch):
-        """REPRO_FAST unset means the reference kernel runs (default-off)."""
+    def test_simulate_defaults_to_fast_kernel(self, monkeypatch):
+        """REPRO_FAST unset means the fast kernel runs; REPRO_FAST=0
+        selects the reference kernel; the statistics are identical."""
         monkeypatch.delenv("REPRO_FAST", raising=False)
+        assert isinstance(select_kernel(SystemConfig()), FastSystem)
         trace = _trace(refs=300)
-        assert (
-            simulate(trace, SystemConfig()).to_dict()
-            == simulate(trace, SystemConfig(), fast=True).to_dict()
-        )
+        fast = simulate(trace, SystemConfig()).to_dict()
+        monkeypatch.setenv("REPRO_FAST", "0")
+        assert isinstance(select_kernel(SystemConfig()), System)
+        assert simulate(trace, SystemConfig()).to_dict() == fast
+
+
+class TestSelectKernel:
+    def test_observed_or_sanitized_points_take_the_reference(self):
+        from repro.obs.observer import Observer
+
+        config = SystemConfig()
+        assert isinstance(select_kernel(config, fast=True), FastSystem)
+        assert type(select_kernel(config, fast=False)) is System
+        assert type(select_kernel(config, obs=Observer(), fast=True)) is System
+        assert type(select_kernel(config, sanitize=True, fast=True)) is System
+
+    def test_unsupported_backend_takes_the_reference(self):
+        config = SystemConfig().with_backend("tldram")
+        assert not kernel_supports(config)
+        assert type(select_kernel(config, fast=True)) is System
+
+    def test_only_the_kernel_package_asks_for_support(self):
+        """select_kernel is the one dispatch seam: nothing outside
+        repro.kernel consults kernel_supports or builds a FastSystem."""
+        from pathlib import Path
+
+        import repro
+
+        root = Path(repro.__file__).parent
+        offenders = [
+            str(path.relative_to(root))
+            for path in root.rglob("*.py")
+            if path.parent.name != "kernel"
+            and any(
+                name in path.read_text()
+                for name in ("kernel_supports", "FastSystem(")
+            )
+        ]
+        assert offenders == []
 
 
 class TestKernelSupports:
@@ -212,50 +221,50 @@ class TestKernelSupports:
         )
 
 
-class TestWarmMemo:
-    def test_repeat_warmup_restores_identical_state(self):
+class TestFootprint:
+    def test_execute_point_retains_no_compiled_trace(self, monkeypatch):
+        """After several distinct recipes, no CompiledTrace outlives the
+        point that built it."""
+        from repro.kernel import compiled as compiled_module
+        from repro.runner import SimPoint, worker
+
+        alive = weakref.WeakSet()
+        created = []
+        original = compiled_module.CompiledTrace.__init__
+
+        def tracking_init(self, trace):
+            original(self, trace)
+            alive.add(self)
+            created.append(1)
+
+        monkeypatch.setattr(compiled_module.CompiledTrace, "__init__", tracking_init)
+        monkeypatch.setattr(worker, "_TRACE_MEMO", {})
         config = SystemConfig().with_prefetch(enabled=True)
-        warm = compile_trace(build_warmup_trace("swim", seed=0, l2_bytes=1 << 20))
-        main = compile_trace(build_trace("swim", 1_000, seed=0))
+        for benchmark in ("mcf", "swim", "gzip", "eon"):
+            worker.execute_point(SimPoint(benchmark, config, 400, 0), fast=True)
+        gc.collect()
+        assert len(created) == 8  # one warm-up and one main per point
+        assert len(alive) == 0
 
-        first = FastSystem(config)
-        first.warmup(warm)
-        assert len(_WARM_MEMO) == 1
-        cold = first.run(main).to_dict()
-
-        second = FastSystem(config)
-        second.warmup(warm)  # memo hit: restores instead of re-simulating
-        assert len(_WARM_MEMO) == 1
-        assert second.run(main).to_dict() == cold
-
-    def test_memo_keyed_by_config_and_digest(self):
-        warm = compile_trace(build_warmup_trace("mcf", seed=0, l2_bytes=1 << 20))
-        for config in (SystemConfig(), SystemConfig().with_prefetch(enabled=True)):
-            system = FastSystem(config)
-            system.warmup(warm)
-        assert len(_WARM_MEMO) == 2
-
-    def test_stride_engine_skips_memo(self):
-        config = SystemConfig().with_prefetch(enabled=True, engine="stride")
-        warm = compile_trace(build_warmup_trace("mcf", seed=0, l2_bytes=1 << 20))
-        system = FastSystem(config)
-        system.warmup(warm)
-        assert len(_WARM_MEMO) == 0
-
-    def test_non_fresh_system_never_memoizes(self):
-        warm = compile_trace(build_warmup_trace("mcf", seed=0, l2_bytes=1 << 20))
-        main = compile_trace(_trace(refs=300))
-        system = FastSystem(SystemConfig())
-        system.run(main)
-        system.warmup(warm)
-        assert len(_WARM_MEMO) == 0
-
-    def test_clear_warm_cache(self):
-        warm = compile_trace(build_warmup_trace("mcf", seed=0, l2_bytes=1 << 20))
-        FastSystem(SystemConfig()).warmup(warm)
-        assert _WARM_MEMO
-        clear_warm_cache()
-        assert not _WARM_MEMO
+    def test_fast_point_peak_memory_matches_reference(self):
+        """The fast kernel holds no more trace-derived data than the
+        reference one: on an equake point (the heaviest warm-up) its
+        traced peak is within 10% of the reference kernel's.  Slow
+        (about a minute): tracemalloc resolves a line number per
+        allocation, which is costly inside the kernel's one long loop."""
+        config = SystemConfig()
+        warm = build_warmup_trace("equake", seed=0, l2_bytes=config.l2.size_bytes)
+        main = build_trace("equake", 500, seed=0)
+        peaks = {}
+        for fast in (False, True):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                simulate(main, config, warmup_trace=warm, fast=fast)
+                peaks[fast] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[True] <= 1.1 * peaks[False], peaks
 
 
 class TestSimulateBatch:
@@ -301,8 +310,10 @@ class TestSimulateFastEntryPoint:
         config = SystemConfig()
         warm = build_warmup_trace("mcf", seed=0, l2_bytes=config.l2.size_bytes)
         main = _trace(refs=600)
+        system = FastSystem(config)
+        system.warmup(warm)  # compiles its own views when given none
         assert (
-            simulate_fast(main, config, warmup_trace=warm).to_dict()
+            system.run(main).to_dict()
             == simulate(main, config, warmup_trace=warm, fast=False).to_dict()
         )
 
@@ -310,7 +321,7 @@ class TestSimulateFastEntryPoint:
         """The fast kernel's stats must survive the exact round trip the
         runner cache uses."""
         main = _trace(refs=400)
-        fast = simulate_fast(main, SystemConfig())
+        fast = simulate(main, SystemConfig(), fast=True)
         reference = simulate(main, SystemConfig(), fast=False)
         assert json.dumps(fast.to_dict(), sort_keys=True) == json.dumps(
             reference.to_dict(), sort_keys=True
@@ -335,13 +346,9 @@ class TestStoreBackedTraces:
         assert list(tmp_path.glob("*.npz")) == entries
 
 
-def test_compiled_trace_len_and_explicit_digest():
+def test_compiled_trace_len():
     trace = _trace(refs=200)
-    digest = trace_digest(trace)
-    compiled = CompiledTrace(trace, digest)
-    assert len(compiled) == len(trace)
-    assert compiled.digest == digest
-    assert CompiledTrace(trace).digest == digest
+    assert len(CompiledTrace(trace)) == len(trace)
 
 
 def test_trace_digest_covers_every_column():

@@ -2,9 +2,9 @@
 
 The contract of :mod:`repro.kernel` is byte-identity: every statistic of
 the specialized interpreter must equal the reference simulator's, for
-every supported configuration, with and without warm-up, cold and
-through the warm-state memo, one point at a time and batched.  Hypothesis
-drives randomly drawn configurations spanning the paper's axes (DRAM
+every supported configuration, with and without warm-up, one point
+at a time and batched.  Hypothesis drives randomly drawn
+configurations spanning the paper's axes (DRAM
 mapping and row policy, L2 geometry, both prefetch engines with their
 policy/scheduling/throttle variants, idealized hierarchies, non-dyadic
 clocks) through both kernels and asserts exact ``to_dict`` equality.
@@ -28,13 +28,7 @@ from repro.core.config import (
     SystemConfig,
 )
 from repro.core.system import simulate
-from repro.kernel import (
-    clear_warm_cache,
-    compile_trace,
-    kernel_supports,
-    simulate_batch,
-)
-from repro.kernel.fastcore import FastSystem
+from repro.kernel import kernel_supports, simulate_batch
 from repro.workloads import build_trace
 from repro.workloads.registry import build_warmup_trace
 
@@ -100,9 +94,8 @@ class TestFuzzFastVsReference:
         warm=st.booleans(),
     )
     def test_fast_point_matches_reference(self, config, benchmark, refs, seed, warm):
-        """One point, cold fast kernel vs reference, warm-up optional."""
+        """One point, fast kernel vs reference, warm-up optional."""
         assert kernel_supports(config)
-        clear_warm_cache()
         trace = build_trace(benchmark, refs, seed=seed)
         warmup = (
             build_warmup_trace(benchmark, seed=seed, l2_bytes=config.l2.size_bytes)
@@ -118,32 +111,10 @@ class TestFuzzFastVsReference:
         config=system_configs(),
         benchmark=st.sampled_from(BENCHMARK_POOL),
         refs=st.integers(min_value=300, max_value=800),
-    )
-    def test_warm_memo_restore_matches_cold_run(self, config, benchmark, refs):
-        """The memoized warm-state restore path yields the same statistics
-        as a freshly simulated warm-up — for arbitrary configurations."""
-        clear_warm_cache()
-        warmup = compile_trace(
-            build_warmup_trace(benchmark, seed=0, l2_bytes=config.l2.size_bytes)
-        )
-        main = compile_trace(build_trace(benchmark, refs, seed=0))
-
-        cold = FastSystem(config)
-        cold.warmup(warmup)  # simulates, then snapshots into the memo
-        restored = FastSystem(config)
-        restored.warmup(warmup)  # restores the snapshot
-        assert _dump(restored.run(main)) == _dump(cold.run(main))
-
-    @settings(max_examples=8, deadline=None)
-    @given(
-        config=system_configs(),
-        benchmark=st.sampled_from(BENCHMARK_POOL),
-        refs=st.integers(min_value=300, max_value=800),
         warm=st.booleans(),
     )
     def test_singleton_batch_equals_simulate(self, config, benchmark, refs, warm):
         """``simulate_batch([c])`` is exactly ``[simulate(c)]``."""
-        clear_warm_cache()
         trace = build_trace(benchmark, refs, seed=0)
         warmup = (
             build_warmup_trace(benchmark, seed=0, l2_bytes=config.l2.size_bytes)
@@ -164,7 +135,6 @@ class TestFuzzFastVsReference:
     def test_batch_equals_independent_simulations(self, configs, benchmark, refs):
         """A multi-config batch over one shared trace equals N independent
         reference simulations, config for config."""
-        clear_warm_cache()
         trace = build_trace(benchmark, refs, seed=0)
         batched = simulate_batch(trace, configs, fast=True)
         for config, stats in zip(configs, batched):
@@ -201,7 +171,6 @@ class TestDeterministicEdgeCases:
         ],
     )
     def test_named_variant_matches_reference(self, config):
-        clear_warm_cache()
         trace = build_trace("swim", 1_500, seed=0)
         warmup = build_warmup_trace("swim", seed=0, l2_bytes=config.l2.size_bytes)
         reference = simulate(trace, config, warmup_trace=warmup, fast=False)

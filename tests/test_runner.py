@@ -8,6 +8,8 @@ the resulting ``SimStats`` must be identical field by field.
 
 import dataclasses
 import json
+import threading
+import time
 
 import pytest
 
@@ -85,7 +87,7 @@ class TestTraceGrouping:
         self, monkeypatch
     ):
         """Pending points are dispatched grouped by trace recipe (so the
-        per-process trace/compile/warm-state memos hit), while the
+        per-process trace memo hits), while the
         returned results still follow the caller's order."""
         from repro.runner import runner as runner_module
 
@@ -111,6 +113,53 @@ class TestTraceGrouping:
         # result order: exactly the caller's
         order = [int(r.instructions) for r in results]
         assert order == [3, 1, 4, 2]
+
+
+class TestSingleFlightTraces:
+    """Threads missing on one trace recipe at once share one build."""
+
+    def _counting_build(self, monkeypatch, delay=0.2, fail_first=False):
+        from repro.runner import worker
+
+        builds = []
+        real_build = worker._build_traces
+
+        def build(*recipe):
+            builds.append(recipe)
+            time.sleep(delay)  # hold the build open while the others miss
+            if fail_first and len(builds) == 1:
+                raise RuntimeError("injected build failure")
+            return real_build(*recipe)
+
+        monkeypatch.setattr(worker, "_TRACE_MEMO", {})
+        monkeypatch.setattr(worker, "_build_traces", build)
+        return worker, builds
+
+    def test_concurrent_misses_build_once(self, monkeypatch):
+        worker, builds = self._counting_build(monkeypatch)
+        results = []
+        barrier = threading.Barrier(6)
+
+        def fetch(recipe):
+            barrier.wait()
+            results.append(worker.get_traces(*recipe))
+
+        recipes = [("mcf", 400, 0, 1 << 20)] * 4 + [("swim", 400, 0, 1 << 20)] * 2
+        threads = [threading.Thread(target=fetch, args=(r,)) for r in recipes]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert sorted(builds) == [("mcf", 400, 0, 1 << 20), ("swim", 400, 0, 1 << 20)]
+        mains = {id(main) for _, main in results}
+        assert len(results) == 6 and len(mains) == 2
+
+    def test_failed_build_is_retried(self, monkeypatch):
+        worker, builds = self._counting_build(monkeypatch, delay=0.0, fail_first=True)
+        with pytest.raises(RuntimeError, match="injected"):
+            worker.get_traces("mcf", 400, 0, 1 << 20)
+        warm, main = worker.get_traces("mcf", 400, 0, 1 << 20)
+        assert len(builds) == 2 and len(main)
 
 
 class TestRunnerDedup:
